@@ -344,21 +344,20 @@ func (d *Discard) Handlers() []Handler {
 	}
 }
 
-// FromDevice injects frames arriving on a Device into the graph. When
-// the device supports batched receive (BatchRecver), bursts are drained
-// in one call; the regular drivers still copy each frame into a pooled
-// packet with headroom, while the fused driver adopts the frames
-// zero-copy (see FusedIngest).
+// FromDevice injects frames arriving on a Device into the graph. It
+// drains bursts with one RecvBatch call and adopts every frame into a
+// packet without copying (AdoptPacket), stamping the whole burst with one
+// clock read. The same ingest serves every driver: RunTask under the
+// locked drivers, FusedIngest under the fused one.
 //
 // Configuration: FromDevice(DEVNAME[, BURST n]). Handlers: count (r).
 type FromDevice struct {
 	Base
 	devName string
 	dev     Device
-	br      BatchRecver // non-nil when the device supports batched receive
 	burst   int
 	count   atomic.Uint64
-	batch   []*Packet // scratch for batched ingest
+	batch   []*Packet // scratch for RunTask's burst
 	frames  [][]byte  // scratch for batched device receive
 }
 
@@ -389,73 +388,35 @@ func (f *FromDevice) Init() error {
 		return fmt.Errorf("device %q not attached to router", f.devName)
 	}
 	f.dev = dev
-	if br, ok := dev.(BatchRecver); ok {
-		f.br = br
-	}
 	return nil
 }
 
-// RunTask implements Tasker: drain up to a burst of frames off the device,
-// then hand the whole batch downstream under one lock acquisition. Frames
-// are copied into pooled packets so downstream elements get headroom and
-// the device may reuse its buffers.
+// RunTask implements Tasker: ingest a burst, then hand it downstream
+// under one lock acquisition.
 func (f *FromDevice) RunTask() bool {
-	f.batch = f.batch[:0]
-	if f.br != nil {
-		f.frames = f.br.RecvBatch(f.frames[:0], f.burst)
-		for _, frame := range f.frames {
-			f.batch = append(f.batch, NewPacket(frame))
-		}
-	} else {
-	drain:
-		for len(f.batch) < f.burst {
-			select {
-			case frame := <-f.dev.Recv():
-				f.batch = append(f.batch, NewPacket(frame))
-			default:
-				break drain
-			}
-		}
-	}
+	f.batch = f.FusedIngest(f.batch[:0])
 	if len(f.batch) == 0 {
 		return false
 	}
-	f.count.Add(uint64(len(f.batch)))
 	f.PushOutBatch(0, f.batch)
 	return true
 }
 
-// FusedIngest implements the fused driver's source hook: drain a burst
-// without the element lock. BatchRecver frames are adopted zero-copy
-// (their ownership transferred with RecvBatch) and the whole burst is
-// stamped with one clock read; channel devices fall back to the copying
-// path, which stays correct for devices that recycle buffers.
+// FusedIngest implements the fused driver's source hook, and is the
+// one ingest path: append up to a burst of adopted device frames to buf.
+// It takes no element lock.
 func (f *FromDevice) FusedIngest(buf []*Packet) []*Packet {
-	if f.br != nil {
-		f.frames = f.br.RecvBatch(f.frames[:0], f.burst)
-		if len(f.frames) == 0 {
-			return buf
-		}
-		now := time.Now()
-		for _, frame := range f.frames {
-			p := AdoptPacket(frame)
-			p.Timestamp = now
-			buf = append(buf, p)
-		}
-		f.count.Add(uint64(len(f.frames)))
+	f.frames = f.dev.RecvBatch(f.frames[:0], f.burst)
+	if len(f.frames) == 0 {
 		return buf
 	}
-	n0 := len(buf)
-	for len(buf)-n0 < f.burst {
-		select {
-		case frame := <-f.dev.Recv():
-			buf = append(buf, NewPacket(frame))
-		default:
-			f.count.Add(uint64(len(buf) - n0))
-			return buf
-		}
+	now := time.Now()
+	for _, frame := range f.frames {
+		p := AdoptPacket(frame)
+		p.Timestamp = now
+		buf = append(buf, p)
 	}
-	f.count.Add(uint64(len(buf) - n0))
+	f.count.Add(uint64(len(f.frames)))
 	return buf
 }
 

@@ -3,8 +3,8 @@ package click
 // The fuse compiler: the Fused driver's init-time pass that turns
 // eligible push chains into run-to-completion pipelines.
 //
-// A pipeline is a source that can batch-ingest (FromDevice over a
-// BatchRecver device, InfiniteSource), zero or more Fusible transforms,
+// A pipeline is a source that can batch-ingest (FromDevice,
+// InfiniteSource), zero or more Fusible transforms,
 // and a sink (a Queue switched to a lock-free ring, a fusedSink such as
 // Discard or push-mode ToDevice, or — when the chain hits an element the
 // compiler cannot prove safe — a locked PushOutBatch back onto the

@@ -91,10 +91,10 @@ func NewPacket(data []byte) *Packet {
 // AdoptPacket wraps frame in a Packet without copying: the packet takes
 // ownership of the slice itself, so the caller must not touch frame
 // afterwards. Adopted packets carry no headroom (Prepend falls back to an
-// allocating copy) and a zero Timestamp — the fused ingest path stamps
-// whole bursts with one time.Now() call instead of one per packet. Use it
-// only with frames whose ownership genuinely transfers (BatchRecver
-// devices); for shared or device-retained buffers use NewPacket.
+// allocating copy) and a zero Timestamp — FromDevice stamps whole bursts
+// with one time.Now() call instead of one per packet. Use it only with
+// frames whose ownership genuinely transfers (Device.RecvBatch); for
+// shared or retained buffers use NewPacket.
 func AdoptPacket(frame []byte) *Packet {
 	p := packetPool.Get().(*Packet)
 	p.buf = frame
@@ -198,7 +198,9 @@ func (p *Packet) Clone() *Packet {
 
 // Device is the boundary between a Click graph and the outside world.
 // FromDevice reads frames from a Device, ToDevice writes frames to it.
-// internal/netem VNF container ports implement Device.
+// Frames cross the boundary without a copy, in both directions:
+// ownership passes with the frame. internal/netem VNF container ports
+// implement Device.
 type Device interface {
 	// DeviceName identifies the device inside a VNF ("eth0", "in", …).
 	DeviceName() string
@@ -207,12 +209,29 @@ type Device interface {
 	// from its packet before sending); on error the frame must not be
 	// retained, so the caller can recycle it.
 	Send(frame []byte) error
-	// Recv returns the channel of frames arriving at the VNF. The channel
-	// is never closed while the device is attached.
-	Recv() <-chan []byte
+	// RecvBatch hands frames arriving at the VNF to FromDevice: it
+	// appends up to max pending frames to buf and returns the extended
+	// slice, without blocking. Ownership of every returned frame passes
+	// to the caller, which adopts it into a packet (AdoptPacket).
+	RecvBatch(buf [][]byte, max int) [][]byte
+}
+
+// RecvChanBatch implements RecvBatch over a channel of frames: it
+// appends up to max frames that are ready on ch without blocking.
+func RecvChanBatch(ch <-chan []byte, buf [][]byte, max int) [][]byte {
+	for n := 0; n < max; n++ {
+		select {
+		case frame := <-ch:
+			buf = append(buf, frame)
+		default:
+			return buf
+		}
+	}
+	return buf
 }
 
 // ChanDevice is an in-memory Device for tests and stand-alone VNFs.
+// Frames sent on In belong to the VNF from then on.
 type ChanDevice struct {
 	Name string
 	In   chan []byte // frames for the VNF to consume
@@ -238,5 +257,7 @@ func (d *ChanDevice) Send(frame []byte) error {
 	}
 }
 
-// Recv implements Device.
-func (d *ChanDevice) Recv() <-chan []byte { return d.In }
+// RecvBatch implements Device.
+func (d *ChanDevice) RecvBatch(buf [][]byte, max int) [][]byte {
+	return RecvChanBatch(d.In, buf, max)
+}

@@ -1,16 +1,5 @@
 package click
 
-// BatchRecver is implemented by devices that can hand over several
-// received frames in one non-blocking call. Ownership of every returned
-// frame transfers to the caller, so ingest paths may adopt the slices
-// directly into packets (AdoptPacket) without copying. FromDevice
-// prefers this path under every driver when the device supports it.
-type BatchRecver interface {
-	// RecvBatch appends up to max pending frames to buf and returns the
-	// extended slice. It never blocks.
-	RecvBatch(buf [][]byte, max int) [][]byte
-}
-
 // BatchSender is implemented by devices that can accept several frames
 // in one call, amortizing the per-frame synchronization. SendBatch
 // returns how many frames were accepted (a prefix of frames); ownership
@@ -25,8 +14,8 @@ type BatchSender interface {
 // traffic harness and a VNF) becomes two atomic ring operations per
 // burst rather than channel sends. Frames passed through a RingDevice
 // transfer ownership — the sender must not reuse a frame after Send
-// accepts it, which is what lets the fused fast path move frames through
-// whole chains with zero copies.
+// accepts it, which is what lets every driver move frames through whole
+// chains with zero copies.
 //
 // Each ring must have exactly one producer and one consumer goroutine:
 // share a ring between two RingDevices (left VNF's Out is right VNF's
@@ -67,12 +56,7 @@ func (d *RingDevice) SendBatch(frames [][]byte) int {
 	return d.Out.EnqueueBatch(frames)
 }
 
-// Recv implements Device. A RingDevice has no receive channel — the nil
-// channel never fires inside FromDevice's select, and consumers use the
-// RecvBatch fast path instead.
-func (d *RingDevice) Recv() <-chan []byte { return nil }
-
-// RecvBatch implements BatchRecver.
+// RecvBatch implements Device.
 func (d *RingDevice) RecvBatch(buf [][]byte, max int) [][]byte {
 	if d.In == nil {
 		return buf

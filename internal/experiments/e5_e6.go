@@ -138,10 +138,9 @@ func E5Steering(lengths []int) (*Table, error) {
 
 // chainOfRouters builds L Click forwarder VNFs connected in series via
 // shared lock-free frame rings (RingDevice) and returns the entry ring,
-// exit ring and the routers. Ring boundaries are what lets the fused
-// driver move frames through the whole chain zero-copy; the locked
-// drivers run over the same devices via the BatchRecver path, so the E6
-// driver comparison isolates scheduling and locking rather than device
+// exit ring and the routers. Every driver moves frames through the
+// whole chain zero-copy over the same devices, so the E6 driver
+// comparison isolates scheduling and locking rather than device
 // overhead.
 func chainOfRouters(L int, opts click.Options) (*click.SPSCRing[[]byte], *click.SPSCRing[[]byte], []*click.Router, error) {
 	rings := make([]*click.SPSCRing[[]byte], L+1)

@@ -71,9 +71,11 @@ type Port struct {
 	recv func(frame []byte)
 }
 
-// Send transmits a frame out of this port (towards the link peer).
-// Frames sent before the link is wired are dropped, like a NIC with no
-// cable.
+// Send transmits a frame out of this port (towards the link peer). The
+// frame belongs to the link from then on: it is delivered to the peer
+// as it is, and the peer (a switch, a VNF, a host) may edit it in place,
+// so the caller must not touch it afterwards. Frames sent before the
+// link is wired are dropped, like a NIC with no cable.
 func (p *Port) Send(frame []byte) {
 	if pp := p.pipe.Load(); pp != nil {
 		pp.send(frame)

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -427,5 +428,49 @@ func TestControllerTCPMode(t *testing.T) {
 	defer n.Stop()
 	if len(ctrl.Connections()) != 1 {
 		t.Errorf("connections = %d", len(ctrl.Connections()))
+	}
+}
+
+// Host.Send copies the caller's bytes: overwriting the buffer once Send
+// has returned leaves the frame in flight intact, whether it waits in a
+// delay line or crosses a switch that floods it.
+func TestHostSendCopiesCallerBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(n *Network) error
+	}{
+		{"delayed link", func(n *Network) error {
+			n.AddHost("h1")
+			n.AddHost("h2")
+			_, err := n.AddLink("h1", "h2", LinkConfig{Delay: 20 * time.Millisecond})
+			return err
+		}},
+		{"switch", func(n *Network) error { return BuildSingle(n, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _ := newStartedNet(t, tc.build)
+			h1 := n.Node("h1").(*Host)
+			h2 := n.Node("h2").(*Host)
+			h2.SetAutoRespond(false)
+			frame, err := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 1, 2, []byte("intact"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := append([]byte(nil), frame...)
+			if err := h1.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+			for i := range frame {
+				frame[i] = 0xee
+			}
+			select {
+			case rx := <-h2.Recv():
+				if !bytes.Equal(rx.Frame, golden) {
+					t.Errorf("delivered % x\nwant % x", rx.Frame, golden)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("frame not delivered")
+			}
+		})
 	}
 }

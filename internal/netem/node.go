@@ -94,6 +94,7 @@ func (h *Host) MAC() pkt.MAC {
 }
 
 // Recv returns the channel of frames not handled by the built-in stack.
+// Each received frame belongs to the receiver.
 func (h *Host) Recv() <-chan RxFrame {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -103,13 +104,17 @@ func (h *Host) Recv() <-chan RxFrame {
 	return h.rx
 }
 
-// Send transmits a frame out of the host's first port.
+// Send transmits a frame out of the host's first port. It is the one
+// entry point into the network that takes bytes the caller still owns:
+// it copies frame once, into a buffer with room for a VLAN tag, so the
+// caller may reuse frame as soon as Send returns and the switches can
+// tag the copy in place.
 func (h *Host) Send(frame []byte) error {
 	p := h.Port(0)
 	if p == nil {
 		return fmt.Errorf("netem: host %s has no ports", h.name)
 	}
-	p.Send(frame)
+	p.Send(append(make([]byte, 0, len(frame)+pkt.VLANTagLen), frame...))
 	return nil
 }
 
@@ -204,7 +209,7 @@ func (s *SwitchNode) newPort(n *Network) (*Port, error) {
 		No:       no,
 		HWAddr:   pkt.MAC(p.MAC),
 		Name:     p.Name,
-		Transmit: func(frame []byte) { p.Send(frame) },
+		Transmit: p.Send,
 	})
 	if err != nil {
 		return nil, err
@@ -331,7 +336,9 @@ func (v *VNF) ControlAddr() string {
 	return v.control.Addr().String()
 }
 
-// eeDevice bridges a Click device to a netem port.
+// eeDevice bridges a Click device to a netem port. Frames cross it in
+// both directions without a copy: those arriving from the switch are
+// handed to FromDevice, those ToDevice sends go to the port.
 type eeDevice struct {
 	name string
 	in   chan []byte
@@ -342,8 +349,11 @@ type eeDevice struct {
 // DeviceName implements click.Device.
 func (d *eeDevice) DeviceName() string { return d.name }
 
-// Recv implements click.Device.
-func (d *eeDevice) Recv() <-chan []byte { return d.in }
+// RecvBatch implements click.Device: the frames the switch
+// delivered to the VNF pass to FromDevice.
+func (d *eeDevice) RecvBatch(buf [][]byte, max int) [][]byte {
+	return click.RecvChanBatch(d.in, buf, max)
+}
 
 // Send implements click.Device.
 func (d *eeDevice) Send(frame []byte) error {

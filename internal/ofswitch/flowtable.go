@@ -8,6 +8,7 @@ package ofswitch
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"escape/internal/openflow"
@@ -15,6 +16,13 @@ import (
 
 // FlowEntry is one installed flow-table entry.
 type FlowEntry struct {
+	// Packets and Bytes count the entry's hits. Lookup adds to them
+	// atomically under the table's read lock; read them through Entries
+	// or Aggregate while the entry is installed. They lead the struct so
+	// that 64-bit atomic access is aligned on 32-bit platforms.
+	Packets uint64
+	Bytes   uint64
+
 	Match       openflow.Match
 	Priority    uint16
 	Cookie      uint64
@@ -23,10 +31,29 @@ type FlowEntry struct {
 	Flags       uint16
 	Actions     []openflow.Action
 
-	Created  time.Time
+	Created time.Time
+	// LastUsed is the time of the sweep that last found the entry hit,
+	// or Created. Lookup only sets used; the next Sweep turns it into
+	// LastUsed, so the data path never reads the clock.
 	LastUsed time.Time
-	Packets  uint64
-	Bytes    uint64
+	used     uint32 // atomic: hit since the last sweep
+}
+
+// snapshot copies the entry, reading the hit counters atomically.
+func (e *FlowEntry) snapshot() FlowEntry {
+	return FlowEntry{
+		Packets:     atomic.LoadUint64(&e.Packets),
+		Bytes:       atomic.LoadUint64(&e.Bytes),
+		Match:       e.Match,
+		Priority:    e.Priority,
+		Cookie:      e.Cookie,
+		IdleTimeout: e.IdleTimeout,
+		HardTimeout: e.HardTimeout,
+		Flags:       e.Flags,
+		Actions:     e.Actions,
+		Created:     e.Created,
+		LastUsed:    e.LastUsed,
+	}
 }
 
 // FlowTable is a priority-ordered OpenFlow 1.0 flow table.
@@ -56,7 +83,7 @@ func (t *FlowTable) Entries() []FlowEntry {
 	defer t.mu.RUnlock()
 	out := make([]FlowEntry, len(t.entries))
 	for i, e := range t.entries {
-		out[i] = *e
+		out[i] = e.snapshot()
 	}
 	return out
 }
@@ -82,15 +109,16 @@ func (t *FlowTable) Add(e *FlowEntry) {
 }
 
 // Lookup returns the highest-priority entry matching fields and updates
-// its counters, or nil on table miss.
+// its counters, or nil on table miss. Concurrent lookups share the read
+// lock: the counters and the used bit are atomic.
 func (t *FlowTable) Lookup(f openflow.PacketFields, frameLen int) *FlowEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for _, e := range t.entries {
 		if e.Match.Matches(f) {
-			e.Packets++
-			e.Bytes += uint64(frameLen)
-			e.LastUsed = time.Now()
+			atomic.AddUint64(&e.Packets, 1)
+			atomic.AddUint64(&e.Bytes, uint64(frameLen))
+			atomic.StoreUint32(&e.used, 1)
 			return e
 		}
 	}
@@ -175,13 +203,17 @@ func (t *FlowTable) Delete(m openflow.Match, priority uint16, strict bool) int {
 }
 
 // Sweep evicts entries whose idle or hard timeout has expired and returns
-// the number evicted. The switch calls it periodically.
+// the number evicted. An entry hit since the previous sweep counts as used
+// at now. The switch calls it periodically.
 func (t *FlowTable) Sweep(now time.Time) int {
 	t.mu.Lock()
 	var victims []*FlowEntry
 	var reasons []uint8
 	keep := t.entries[:0]
 	for _, e := range t.entries {
+		if atomic.SwapUint32(&e.used, 0) != 0 {
+			e.LastUsed = now
+		}
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.Created) >= e.HardTimeout:
 			victims = append(victims, e)
@@ -214,8 +246,8 @@ func (t *FlowTable) Aggregate(m openflow.Match) openflow.AggregateStats {
 	var agg openflow.AggregateStats
 	for _, e := range t.entries {
 		if subsumes(m, e.Match) {
-			agg.PacketCount += e.Packets
-			agg.ByteCount += e.Bytes
+			agg.PacketCount += atomic.LoadUint64(&e.Packets)
+			agg.ByteCount += atomic.LoadUint64(&e.Bytes)
 			agg.FlowCount++
 		}
 	}

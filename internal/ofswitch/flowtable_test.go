@@ -1,6 +1,7 @@
 package ofswitch
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,5 +219,65 @@ func TestQuickLookupHighestPriority(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Concurrent lookups share the read lock; the hit counters stay exact.
+func TestFlowTableConcurrentCountersExact(t *testing.T) {
+	ft := NewFlowTable(nil)
+	ft.Add(&FlowEntry{Match: openflow.MatchAll(), Priority: 1})
+	f := fieldsOnPort(t, 1)
+	const workers, perWorker = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(size int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				ft.Lookup(f, size)
+			}
+		}(60 + w)
+	}
+	// Readers run alongside: snapshots and aggregates read atomically.
+	for i := 0; i < 100; i++ {
+		ft.Entries()
+		ft.Aggregate(openflow.MatchAll())
+	}
+	wg.Wait()
+	e := ft.Entries()[0]
+	wantBytes := uint64(0)
+	for w := 0; w < workers; w++ {
+		wantBytes += uint64(perWorker * (60 + w))
+	}
+	if e.Packets != workers*perWorker || e.Bytes != wantBytes {
+		t.Errorf("counters = %d pkts %d bytes, want %d pkts %d bytes",
+			e.Packets, e.Bytes, workers*perWorker, wantBytes)
+	}
+}
+
+// An entry hit between two sweeps does not idle-expire at the second;
+// an entry left unused does.
+func TestFlowTableUsedBitRefreshesIdle(t *testing.T) {
+	ft := NewFlowTable(nil)
+	ft.Add(&FlowEntry{Match: matchInPort(1), Priority: 1, Cookie: 1, IdleTimeout: 50 * time.Millisecond})
+	ft.Add(&FlowEntry{Match: matchInPort(2), Priority: 1, Cookie: 2, IdleTimeout: 50 * time.Millisecond})
+	base := time.Now()
+	if n := ft.Sweep(base.Add(30 * time.Millisecond)); n != 0 {
+		t.Fatalf("first sweep evicted %d", n)
+	}
+	ft.Lookup(fieldsOnPort(t, 1), 60)
+	if n := ft.Sweep(base.Add(70 * time.Millisecond)); n != 1 {
+		t.Fatalf("second sweep evicted %d, want the unused entry only", n)
+	}
+	es := ft.Entries()
+	if len(es) != 1 || es[0].Cookie != 1 {
+		t.Fatalf("survivors = %+v, want the hit entry", es)
+	}
+	if !es[0].LastUsed.Equal(base.Add(70 * time.Millisecond)) {
+		t.Errorf("LastUsed = %v, want the time of the sweep that saw the hit", es[0].LastUsed)
+	}
+	// No hit since: it expires once its idle timeout has passed.
+	if n := ft.Sweep(base.Add(130 * time.Millisecond)); n != 1 {
+		t.Errorf("idle entry survived: evicted %d", n)
 	}
 }

@@ -3,7 +3,6 @@ package ofswitch
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,8 @@ type Port struct {
 	No     uint16
 	HWAddr pkt.MAC
 	Name   string
-	// Transmit sends a frame out of this port. Must be non-blocking or
-	// fast; netem link queues satisfy this.
+	// Transmit sends a frame out of this port and takes ownership of
+	// it. Must be non-blocking or fast; netem link queues satisfy this.
 	Transmit func(frame []byte)
 
 	rxPackets, txPackets atomic.Uint64
@@ -75,9 +74,9 @@ type Switch struct {
 	dpid uint64
 	cfg  Config
 
-	mu    sync.RWMutex
-	ports map[uint16]*Port
-	table *FlowTable
+	portsMu sync.Mutex // serializes AddPort's copy-and-publish
+	ports   atomic.Pointer[portTable]
+	table   *FlowTable
 
 	connMu sync.Mutex // guards conn and outbox swap
 	conn   net.Conn
@@ -95,6 +94,33 @@ type Switch struct {
 	// matching entry (observability for benches).
 	TableMisses atomic.Uint64
 }
+
+// portTable is an immutable snapshot of the switch's ports, indexed by
+// port number (nil where no port exists). AddPort publishes a new table,
+// so the data path reads ports with one atomic load and no lock.
+type portTable []*Port
+
+// get returns port no, or nil.
+func (t portTable) get(no uint16) *Port {
+	if int(no) < len(t) {
+		return t[no]
+	}
+	return nil
+}
+
+// list returns the table's ports ordered by port number.
+func (t portTable) list() []*Port {
+	out := make([]*Port, 0, len(t))
+	for _, p := range t {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// port returns port no from the current table, or nil.
+func (s *Switch) port(no uint16) *Port { return s.ports.Load().get(no) }
 
 type bufferedPacket struct {
 	frame  []byte
@@ -116,10 +142,10 @@ func New(name string, dpid uint64, cfg Config) *Switch {
 		name:    name,
 		dpid:    dpid,
 		cfg:     cfg,
-		ports:   map[uint16]*Port{},
 		buffers: map[uint32]bufferedPacket{},
 		stopCh:  make(chan struct{}),
 	}
+	s.ports.Store(&portTable{})
 	s.table = NewFlowTable(s.flowRemoved)
 	go s.sweepLoop()
 	return s
@@ -143,13 +169,17 @@ func (s *Switch) AddPort(p *Port) error {
 	if p.No == 0 || p.No >= openflow.PortMax {
 		return fmt.Errorf("ofswitch: invalid port number %d", p.No)
 	}
-	s.mu.Lock()
-	if _, dup := s.ports[p.No]; dup {
-		s.mu.Unlock()
+	s.portsMu.Lock()
+	old := *s.ports.Load()
+	if old.get(p.No) != nil {
+		s.portsMu.Unlock()
 		return fmt.Errorf("ofswitch: duplicate port %d", p.No)
 	}
-	s.ports[p.No] = p
-	s.mu.Unlock()
+	next := make(portTable, max(len(old), int(p.No)+1))
+	copy(next, old)
+	next[p.No] = p
+	s.ports.Store(&next)
+	s.portsMu.Unlock()
 	s.sendAsync(&openflow.PortStatus{
 		Reason: openflow.PortReasonAdd,
 		Desc:   p.phyPort(),
@@ -162,9 +192,7 @@ func (s *Switch) AddPort(p *Port) error {
 // detectors subscribe to. Unknown ports are ignored. Idempotent: only an
 // actual state change is announced.
 func (s *Switch) SetPortLinkState(no uint16, down bool) {
-	s.mu.RLock()
-	p := s.ports[no]
-	s.mu.RUnlock()
+	p := s.port(no)
 	if p == nil || p.linkDown.Swap(down) == down {
 		return
 	}
@@ -175,30 +203,23 @@ func (s *Switch) SetPortLinkState(no uint16, down bool) {
 }
 
 // PortCount reports the number of ports.
-func (s *Switch) PortCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ports)
-}
+func (s *Switch) PortCount() int { return len(s.ports.Load().list()) }
 
 // PortStats snapshots all port counters ordered by port number.
 func (s *Switch) PortStats() []openflow.PortStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]openflow.PortStats, 0, len(s.ports))
-	for _, p := range s.ports {
+	var out []openflow.PortStats
+	for _, p := range s.ports.Load().list() {
 		out = append(out, p.Stats())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PortNo < out[j].PortNo })
 	return out
 }
 
 // Input is the data-plane entry point: a frame arrived on port no. It is
-// called by netem link delivery goroutines.
+// called by netem link delivery goroutines. The switch takes ownership
+// of frame: it may edit the bytes in place and hand the buffer on to an
+// output port, so the caller must not touch frame afterwards.
 func (s *Switch) Input(no uint16, frame []byte) {
-	s.mu.RLock()
-	port := s.ports[no]
-	s.mu.RUnlock()
+	port := s.port(no)
 	if port == nil {
 		return
 	}
@@ -223,82 +244,87 @@ func (s *Switch) Input(no uint16, frame []byte) {
 	s.applyActions(entry.Actions, frame, no)
 }
 
-// applyActions runs an action list on a frame arriving on inPort.
+// applyActions runs an action list on frame, which arrived on inPort and
+// which the switch owns. Actions apply copy-on-write: set-field and VLAN
+// actions edit the frame in place, and the last output hands the frame
+// itself over. Only an output that later actions follow, a flood, and a
+// PACKET_IN copy the bytes.
 func (s *Switch) applyActions(actions []openflow.Action, frame []byte, inPort uint16) {
-	// Copy once: set-field actions mutate, and the same underlying frame
-	// may be queued elsewhere.
-	work := make([]byte, len(frame))
-	copy(work, frame)
-	for _, a := range actions {
+	last := -1
+	for i, a := range actions {
+		if _, ok := a.(openflow.ActionOutput); ok {
+			last = i
+		}
+	}
+	// Actions after the last output cannot change any transmitted frame.
+	for i, a := range actions[:last+1] {
 		switch act := a.(type) {
 		case openflow.ActionOutput:
-			s.output(act.Port, work, inPort, act.MaxLen)
+			s.output(act.Port, frame, inPort, act.MaxLen, i == last)
 		case openflow.ActionSetVLAN:
-			if out, err := pkt.PushVLAN(work, act.VLAN); err == nil {
-				work = out
+			if out, err := pkt.PushVLANInPlace(frame, act.VLAN); err == nil {
+				frame = out
 			}
 		case openflow.ActionStripVLAN:
-			if out, err := pkt.PopVLAN(work); err == nil {
-				work = out
+			if out, err := pkt.PopVLANInPlace(frame); err == nil {
+				frame = out
 			}
 		case openflow.ActionSetDL:
-			pkt.SetDLAddr(work, act.Dst, act.MAC)
+			pkt.SetDLAddr(frame, act.Dst, act.MAC)
 		case openflow.ActionSetNW:
-			pkt.SetNWAddr(work, act.Dst, act.Addr)
+			pkt.SetNWAddr(frame, act.Dst, act.Addr)
 		case openflow.ActionSetTP:
-			pkt.SetTPPort(work, act.Dst, act.Port)
+			pkt.SetTPPort(frame, act.Dst, act.Port)
 		}
 	}
 }
 
-// output transmits work out of an (possibly special) port.
-func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16) {
-	// Each transmission gets its own copy: downstream consumers own it.
-	send := func(p *Port) {
-		if p.linkDown.Load() {
-			p.txDropped.Add(1)
-			return
-		}
-		frame := make([]byte, len(work))
-		copy(frame, work)
-		p.txPackets.Add(1)
-		p.txBytes.Add(uint64(len(frame)))
-		p.Transmit(frame)
-	}
+// output transmits frame out of an (possibly special) port. With handover
+// a single-port output passes frame itself on; otherwise every port gets
+// its own copy, since the caller keeps using frame.
+func (s *Switch) output(port uint16, frame []byte, inPort uint16, maxLen uint16, handover bool) {
 	switch {
 	case port == openflow.PortController:
 		limit := int(maxLen)
-		if limit <= 0 || limit > len(work) {
-			limit = len(work)
+		if limit <= 0 || limit > len(frame) {
+			limit = len(frame)
 		}
-		s.packetToControllerRaw(work[:limit], len(work), inPort, openflow.ReasonAction, openflow.NoBuffer)
-	case port == openflow.PortInPort:
-		s.mu.RLock()
-		p := s.ports[inPort]
-		s.mu.RUnlock()
-		if p != nil {
-			send(p)
-		}
+		s.packetToControllerRaw(frame[:limit], len(frame), inPort, openflow.ReasonAction, openflow.NoBuffer)
 	case port == openflow.PortFlood, port == openflow.PortAll:
-		s.mu.RLock()
-		targets := make([]*Port, 0, len(s.ports))
-		for no, p := range s.ports {
-			if no != inPort {
-				targets = append(targets, p)
+		for _, p := range *s.ports.Load() {
+			if p != nil && p.No != inPort {
+				p.transmit(clone(frame))
 			}
 		}
-		s.mu.RUnlock()
-		for _, p := range targets {
-			send(p)
+	default:
+		if port == openflow.PortInPort {
+			port = inPort
+		} else if port >= openflow.PortMax {
+			return
 		}
-	case port < openflow.PortMax:
-		s.mu.RLock()
-		p := s.ports[port]
-		s.mu.RUnlock()
-		if p != nil {
-			send(p)
+		if p := s.port(port); p != nil {
+			if !handover {
+				frame = clone(frame)
+			}
+			p.transmit(frame)
 		}
 	}
+}
+
+// transmit sends a frame the port now owns, unless the link is down.
+func (p *Port) transmit(frame []byte) {
+	if p.linkDown.Load() {
+		p.txDropped.Add(1)
+		return
+	}
+	p.txPackets.Add(1)
+	p.txBytes.Add(uint64(len(frame)))
+	p.Transmit(frame)
+}
+
+// clone returns a private copy of frame with room for a VLAN tag.
+func clone(frame []byte) []byte {
+	return append(make([]byte, 0, len(frame)+pkt.VLANTagLen), frame...)
 }
 
 // packetToController emits PACKET_IN, buffering the frame when enabled.
@@ -307,12 +333,11 @@ func (s *Switch) packetToController(frame []byte, inPort uint16, reason uint8) {
 	data := frame
 	if s.cfg.BufferSlots > 0 {
 		s.bufMu.Lock()
-		// Reclaim a slot ring-style.
+		// Reclaim a slot ring-style. The switch owns the missed frame,
+		// so the buffer keeps it as it is.
 		id := s.nextBuf
 		s.nextBuf = (s.nextBuf + 1) % uint32(s.cfg.BufferSlots)
-		stored := make([]byte, len(frame))
-		copy(stored, frame)
-		s.buffers[id] = bufferedPacket{frame: stored, inPort: inPort}
+		s.buffers[id] = bufferedPacket{frame: frame, inPort: inPort}
 		s.bufMu.Unlock()
 		bufID = id
 		if len(frame) > s.cfg.MissSendLen {
@@ -322,15 +347,15 @@ func (s *Switch) packetToController(frame []byte, inPort uint16, reason uint8) {
 	s.packetToControllerRaw(data, len(frame), inPort, reason, bufID)
 }
 
+// packetToControllerRaw emits a PACKET_IN carrying data. Encoding copies
+// data into the message, so the PACKET_IN never aliases the frame.
 func (s *Switch) packetToControllerRaw(data []byte, totalLen int, inPort uint16, reason uint8, bufID uint32) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.sendAsync(&openflow.PacketIn{
 		BufferID: bufID,
 		TotalLen: uint16(totalLen),
 		InPort:   inPort,
 		Reason:   reason,
-		Data:     cp,
+		Data:     data,
 	})
 }
 
@@ -518,13 +543,10 @@ func (s *Switch) handleMessage(msg openflow.Message, h openflow.Header) {
 	case *openflow.EchoRequest:
 		s.sendXID(&openflow.EchoReply{Data: m.Data}, h.XID)
 	case *openflow.FeaturesRequest:
-		s.mu.RLock()
-		ports := make([]openflow.PhyPort, 0, len(s.ports))
-		for _, p := range s.ports {
+		var ports []openflow.PhyPort
+		for _, p := range s.ports.Load().list() {
 			ports = append(ports, p.phyPort())
 		}
-		s.mu.RUnlock()
-		sort.Slice(ports, func(i, j int) bool { return ports[i].PortNo < ports[j].PortNo })
 		s.sendXID(&openflow.FeaturesReply{
 			DatapathID: s.dpid,
 			NBuffers:   uint32(s.cfg.BufferSlots),
@@ -608,10 +630,7 @@ func (s *Switch) handleStats(m *openflow.StatsRequest, h openflow.Header) {
 		if m.PortNo == openflow.PortNone {
 			reply.Ports = s.PortStats()
 		} else {
-			s.mu.RLock()
-			p := s.ports[m.PortNo]
-			s.mu.RUnlock()
-			if p != nil {
+			if p := s.port(m.PortNo); p != nil {
 				reply.Ports = []openflow.PortStats{p.Stats()}
 			}
 		}

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -144,39 +145,80 @@ type PacketFields struct {
 	TPDst   uint16
 }
 
-// ExtractFields parses frame into the matchable field set.
+var errNoEthernet = errors.New("openflow: frame has no Ethernet header")
+
+// ExtractFields parses frame into the matchable field set. It runs pkt's
+// layer decoders on stack values instead of building a pkt.Packet, so it
+// allocates nothing on well-formed frames, and it yields exactly what
+// decoding the frame with pkt.Decode would: a field stays zero when its
+// layer is absent or fails to decode.
 func ExtractFields(frame []byte, inPort uint16) (PacketFields, error) {
 	f := PacketFields{InPort: inPort, DLVLAN: VLANNone}
-	dec := pkt.Decode(frame)
-	eth := dec.Ethernet()
-	if eth == nil {
-		return f, fmt.Errorf("openflow: frame has no Ethernet header")
+	var eth pkt.Ethernet
+	if eth.DecodeFromBytes(frame) != nil {
+		return f, errNoEthernet
 	}
 	f.DLSrc = eth.Src
 	f.DLDst = eth.Dst
 	f.DLType = uint16(eth.EtherType)
-	if v, ok := dec.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); ok {
+	next, rest := eth.NextLayerType(), eth.Payload()
+	if next == pkt.LayerTypeVLAN {
+		var v pkt.VLAN
+		if v.DecodeFromBytes(rest) != nil {
+			return f, nil
+		}
 		f.DLVLAN = v.ID
 		f.VLANPCP = v.Priority
 		f.DLType = uint16(v.EtherType)
+		next, rest = v.NextLayerType(), v.Payload()
 	}
-	if ip := dec.IPv4Layer(); ip != nil {
+	switch next {
+	case pkt.LayerTypeIPv4:
+		var ip pkt.IPv4
+		if ip.DecodeFromBytes(rest) != nil {
+			return f, nil
+		}
 		f.NWTOS = ip.TOS
 		f.NWProto = uint8(ip.Protocol)
 		f.NWSrc = ip.Src
 		f.NWDst = ip.Dst
-	} else if a, ok := dec.Layer(pkt.LayerTypeARP).(*pkt.ARP); ok {
+		f.TPSrc, f.TPDst = transportPorts(ip.NextLayerType(), ip.Payload())
+	case pkt.LayerTypeARP:
 		// OpenFlow 1.0 matches ARP IPs through NW fields and opcode
 		// through NWProto.
+		var a pkt.ARP
+		if a.DecodeFromBytes(rest) != nil {
+			return f, nil
+		}
 		f.NWProto = uint8(a.Op)
 		f.NWSrc = a.SenderIP
 		f.NWDst = a.TargetIP
 	}
-	if ft, ok := pkt.ExtractFiveTuple(dec); ok {
-		f.TPSrc = ft.SrcPort
-		f.TPDst = ft.DstPort
-	}
 	return f, nil
+}
+
+// transportPorts decodes the transport header of an IPv4 payload: UDP and
+// TCP ports, or ICMP (Ident, Seq) as pkt.ExtractFiveTuple reports them.
+// An undecodable header yields zero ports.
+func transportPorts(t pkt.LayerType, data []byte) (src, dst uint16) {
+	switch t {
+	case pkt.LayerTypeUDP:
+		var u pkt.UDP
+		if u.DecodeFromBytes(data) == nil {
+			return u.SrcPort, u.DstPort
+		}
+	case pkt.LayerTypeTCP:
+		var tcp pkt.TCP
+		if tcp.DecodeFromBytes(data) == nil {
+			return tcp.SrcPort, tcp.DstPort
+		}
+	case pkt.LayerTypeICMP:
+		var ic pkt.ICMP
+		if ic.DecodeFromBytes(data) == nil {
+			return ic.Ident, ic.Seq
+		}
+	}
+	return 0, 0
 }
 
 // Matches reports whether the fields satisfy the match.

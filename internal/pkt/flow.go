@@ -87,44 +87,59 @@ func Summarize(frame []byte) (Summary, error) {
 // after the Ethernet header. If the frame is already tagged the existing tag
 // is rewritten instead (OpenFlow 1.0 SET_VLAN semantics).
 func PushVLAN(frame []byte, id uint16) ([]byte, error) {
-	if len(frame) < 14 {
-		return nil, ErrTooShort
-	}
-	et := uint16(frame[12])<<8 | uint16(frame[13])
-	if EtherType(et) == EtherTypeVLAN {
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		out[14] = byte(id >> 8 & 0x0f)
-		out[15] = byte(id)
-		return out, nil
-	}
-	out := make([]byte, 0, len(frame)+4)
-	out = append(out, frame[:12]...)
-	out = append(out, byte(EtherTypeVLAN>>8), byte(EtherTypeVLAN&0xff))
-	out = append(out, byte(id>>8&0x0f), byte(id))
-	out = append(out, frame[12:]...)
-	return out, nil
+	out := make([]byte, len(frame), len(frame)+VLANTagLen)
+	copy(out, frame)
+	return PushVLANInPlace(out, id)
 }
 
 // PopVLAN returns a copy of frame with its outermost 802.1Q tag removed.
 // Untagged frames are returned unchanged (copied).
 func PopVLAN(frame []byte) ([]byte, error) {
+	return PopVLANInPlace(append([]byte(nil), frame...))
+}
+
+// VLANTagLen is the length of an 802.1Q tag. Buffers with this much
+// spare capacity take a tag in place (PushVLANInPlace).
+const VLANTagLen = 4
+
+// PushVLANInPlace is PushVLAN on a frame the caller owns: like append, it
+// returns the tagged frame, which shares frame's buffer whenever the
+// frame is already tagged or the buffer has VLANTagLen bytes of spare
+// capacity, and is a fresh buffer otherwise.
+func PushVLANInPlace(frame []byte, id uint16) ([]byte, error) {
 	if len(frame) < 14 {
 		return nil, ErrTooShort
 	}
-	et := uint16(frame[12])<<8 | uint16(frame[13])
-	if EtherType(et) != EtherTypeVLAN {
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		return out, nil
+	if EtherType(uint16(frame[12])<<8|uint16(frame[13])) != EtherTypeVLAN {
+		n := len(frame)
+		if cap(frame)-n < VLANTagLen {
+			frame = append(make([]byte, 0, n+VLANTagLen), frame...)
+		}
+		frame = frame[:n+VLANTagLen]
+		copy(frame[16:], frame[12:n])
+		frame[12] = byte(EtherTypeVLAN >> 8)
+		frame[13] = byte(EtherTypeVLAN & 0xff)
+	}
+	frame[14] = byte(id >> 8 & 0x0f)
+	frame[15] = byte(id)
+	return frame, nil
+}
+
+// PopVLANInPlace is PopVLAN on a frame the caller owns: it removes the
+// outermost tag by shifting the frame down inside its own buffer and
+// returns the shortened frame. Untagged frames are returned as they are.
+func PopVLANInPlace(frame []byte) ([]byte, error) {
+	if len(frame) < 14 {
+		return nil, ErrTooShort
+	}
+	if EtherType(uint16(frame[12])<<8|uint16(frame[13])) != EtherTypeVLAN {
+		return frame, nil
 	}
 	if len(frame) < 18 {
 		return nil, ErrTooShort
 	}
-	out := make([]byte, 0, len(frame)-4)
-	out = append(out, frame[:12]...)
-	out = append(out, frame[16:]...)
-	return out, nil
+	n := copy(frame[12:], frame[16:])
+	return frame[:12+n], nil
 }
 
 // FlowHash computes a symmetric 5-tuple hash over a raw Ethernet frame

@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net/netip"
 	"testing"
@@ -183,5 +184,49 @@ func TestQuickMutatePreservesChecksums(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestVLANInPlace(t *testing.T) {
+	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, []byte("data"))
+	orig := append([]byte(nil), frame...)
+	roomy := append(make([]byte, 0, len(frame)+VLANTagLen), frame...)
+	tagged, err := PushVLANInPlace(roomy, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &tagged[0] != &roomy[0] {
+		t.Error("push with spare capacity reallocated")
+	}
+	want, _ := PushVLAN(orig, 42)
+	if !bytes.Equal(tagged, want) {
+		t.Fatalf("in-place push = % x\nwant % x", tagged, want)
+	}
+	retag, _ := PushVLANInPlace(tagged, 43)
+	if &retag[0] != &tagged[0] || len(retag) != len(tagged) {
+		t.Error("retag did not rewrite in place")
+	}
+	if s, _ := Summarize(retag); s.VLANID != 43 {
+		t.Fatalf("retag = %+v", s)
+	}
+	popped, err := PopVLANInPlace(retag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &popped[0] != &roomy[0] || !bytes.Equal(popped, orig) {
+		t.Error("in-place pop did not restore the frame in its buffer")
+	}
+	// Without spare capacity the push grows into a new buffer and leaves
+	// the original untouched.
+	tight := append([]byte(nil), orig...)[:len(orig):len(orig)]
+	grown, _ := PushVLANInPlace(tight, 42)
+	if !bytes.Equal(grown, want) || !bytes.Equal(tight, orig) {
+		t.Error("push without room changed the frame or built a wrong tag")
+	}
+	if _, err := PushVLANInPlace(orig[:13], 1); err != ErrTooShort {
+		t.Errorf("short push err = %v", err)
+	}
+	if _, err := PopVLANInPlace(want[:17]); err != ErrTooShort {
+		t.Errorf("short pop err = %v", err)
 	}
 }
