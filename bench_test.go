@@ -103,10 +103,9 @@ func BenchmarkE5SteeringSetup(b *testing.B) {
 }
 
 // BenchmarkE6ClickDataPlane measures packet throughput through chains of
-// Click VNFs across the scheduler drivers (single-threaded,
-// goroutine-per-task, work-stealing multithreaded, fused) including the
-// fused driver's ablation rows; the reported metric is the headline
-// fused configuration, which is always the table's final row.
+// Click VNFs under both scheduler drivers (single-threaded, fused); the
+// reported metric is the fused driver on the longest chain, which is
+// always the table's final row.
 func BenchmarkE6ClickDataPlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, 2000)
@@ -142,17 +141,6 @@ func BenchmarkSPSCRingBatch(b *testing.B) {
 		out = r.DequeueBatch(out[:0], 64)
 	}
 	_ = out
-}
-
-// BenchmarkMPSCRing measures the multi-producer ring used for RSS shard
-// fan-in, uncontended (contention behavior is covered by the -race tests).
-func BenchmarkMPSCRing(b *testing.B) {
-	r := click.NewMPSCRing[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Enqueue(i)
-		r.Dequeue()
-	}
 }
 
 // BenchmarkFusedChain pushes frames through one VNF running a 4-element

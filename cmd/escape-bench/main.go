@@ -7,7 +7,7 @@
 //	escape-bench                 # all experiments, default parameters
 //	escape-bench -e e3,e4        # a subset
 //	escape-bench -e e3 -sizes 10,100,400
-//	escape-bench -e e6 -e6drivers single,multi
+//	escape-bench -e e6 -e6json BENCH_E6.json             # single vs fused Click drivers
 //	escape-bench -e e9 -e9conc 4,8,16 -e9chain 3
 //	escape-bench -e e10 -e10domains 4 -e10chain 3
 //	escape-bench -e e11 -e11kills 1,2 -e11chain 4
@@ -30,39 +30,13 @@ import (
 	"strconv"
 	"strings"
 
-	"escape/internal/click"
 	"escape/internal/experiments"
 	"escape/internal/substrate"
 )
 
-// parseE6Drivers maps a comma-separated driver list ("single,per-task,
-// multi,fused" or "all") to click driver modes.
-func parseE6Drivers(s string) ([]click.DriverMode, error) {
-	if s == "" || s == "all" {
-		return nil, nil // E6ClickDataPlane defaults to all four
-	}
-	var out []click.DriverMode
-	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(name)) {
-		case "single":
-			out = append(out, click.SingleThreaded)
-		case "per-task":
-			out = append(out, click.GoroutinePerTask)
-		case "multi":
-			out = append(out, click.MultiThreaded)
-		case "fused":
-			out = append(out, click.Fused)
-		default:
-			return nil, fmt.Errorf("unknown E6 driver %q (want single, per-task, multi, fused)", name)
-		}
-	}
-	return out, nil
-}
-
 func main() {
 	which := flag.String("e", "all", "comma-separated experiments (e1..e11) or 'all'")
 	sizes := flag.String("sizes", "", "override E3 node counts, comma-separated")
-	e6drv := flag.String("e6drivers", "all", "E6 scheduler ablation subset: single,per-task,multi,fused or 'all'")
 	e6json := flag.String("e6json", "", "write E6 rows as JSON (BENCH_E6.json CI artifact) to this file")
 	e9conc := flag.String("e9conc", "", "override E9 concurrent-deploy counts, comma-separated")
 	e9chain := flag.Int("e9chain", 4, "E9 chain length (NFs per service)")
@@ -100,11 +74,6 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fatal(err)
 		}
-	}
-
-	e6drivers, err := parseE6Drivers(*e6drv)
-	if err != nil {
-		fatal(err)
 	}
 
 	selected := map[string]bool{}
@@ -184,7 +153,7 @@ func main() {
 		{"e4", func() (*experiments.Table, error) { return experiments.E4Mapping(e4[0], e4[1], e4[2]) }},
 		{"e5", func() (*experiments.Table, error) { return experiments.E5Steering(e5) }},
 		{"e6", func() (*experiments.Table, error) {
-			return experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, e6pkts, e6drivers...)
+			return experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, e6pkts)
 		}},
 		{"e7", func() (*experiments.Table, error) { return experiments.E7NETCONF(e7) }},
 		{"e8", func() (*experiments.Table, error) { return experiments.E8ServiceCreation(e8) }},

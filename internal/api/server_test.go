@@ -397,6 +397,45 @@ func TestQuotaGateEnforcesAtCommit(t *testing.T) {
 	}
 }
 
+// TestQuotaGateMetersBeforeSetTenant covers the restart order: the
+// reconciler re-admits a tenant's recovered intents before the server
+// installs the tenant record. Those admits must count towards usage, the
+// limits must bite once the record arrives, and Released must undo
+// exactly what Admit counted.
+func TestQuotaGateMetersBeforeSetTenant(t *testing.T) {
+	gate := NewQuotaGate()
+	mk := func(service string) *core.Mapping {
+		g := sg.NewChainGraph(service, "monitor")
+		g.Name = "acme/" + service
+		return &core.Mapping{
+			Graph:      g,
+			Placements: map[string]string{g.NFs[0].ID: "ee1"},
+			Routes:     map[string][]string{},
+			Catalog:    catalog.Default(),
+		}
+	}
+	m1, m2 := mk("one"), mk("two")
+	if err := gate.Admit(m1); err != nil {
+		t.Fatalf("admit before SetTenant: %v", err)
+	}
+	cpu, mem, bw := m1.GraphDemand()
+	if gc, gm, gb, gs := gate.Usage("acme"); gc != cpu || gm != mem || gb != bw || gs != 1 {
+		t.Fatalf("usage after unknown-tenant admit = (%v, %v, %v, %v), want (%v, %v, %v, 1)", gc, gm, gb, gs, cpu, mem, bw)
+	}
+	gate.SetTenant(&Tenant{Name: "acme", Quota: Quota{Services: 1}})
+	var qe *QuotaError
+	if err := gate.Admit(m2); !errors.As(err, &qe) || qe.Dim != "services" {
+		t.Fatalf("admit over the recovered usage = %v, want services QuotaError", err)
+	}
+	gate.Released(m1)
+	if gc, gm, gb, gs := gate.Usage("acme"); gc != 0 || gm != 0 || gb != 0 || gs != 0 {
+		t.Fatalf("usage after release = (%v, %v, %v, %v), want zero", gc, gm, gb, gs)
+	}
+	if err := gate.Admit(m2); err != nil {
+		t.Fatalf("admit after release: %v", err)
+	}
+}
+
 func TestVLANTagsOutsideBlockRejected(t *testing.T) {
 	_, ts, _, _ := testServer(t, ServerConfig{})
 	tok1 := createTenant(t, ts.URL, "root", "t1", Quota{})

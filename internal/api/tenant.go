@@ -112,9 +112,12 @@ type usage struct {
 // published, so a tenant's aggregate usage can never overshoot its
 // quota no matter how many deploys race; Released runs under the same
 // lock when a mapping's resources return. Mappings whose graph name
-// carries no tenant prefix (or an unknown tenant) pass through
-// unmetered — the gate covers the control plane's tenants, not
-// internal services.
+// carries no tenant prefix pass through unmetered — the gate covers the
+// control plane's tenants, not internal services. Every tenant-prefixed
+// mapping is metered, but limits apply only once SetTenant has installed
+// the tenant's record: after a restart the reconciler re-admits
+// recovered intents before the server installs their tenants, and those
+// must still count towards usage.
 type QuotaGate struct {
 	mu      sync.Mutex
 	tenants map[string]*Tenant // by name; shared with the registry
@@ -173,28 +176,26 @@ func (qg *QuotaGate) Admit(m *core.Mapping) error {
 	}
 	qg.mu.Lock()
 	defer qg.mu.Unlock()
-	t := qg.tenants[tenant]
-	if t == nil {
-		return nil
-	}
 	cpu, mem, bw := m.GraphDemand()
 	u := qg.used[tenant]
 	if u == nil {
 		u = &usage{}
 		qg.used[tenant] = u
 	}
-	q := t.Quota
-	if q.CPU > 0 && u.cpu+cpu > q.CPU+1e-9 {
-		return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + cpu, Limit: q.CPU}
-	}
-	if q.Mem > 0 && u.mem+mem > q.Mem {
-		return &QuotaError{Tenant: tenant, Dim: "mem", Want: float64(u.mem + mem), Limit: float64(q.Mem)}
-	}
-	if q.BW > 0 && u.bw+bw > q.BW+1e-9 {
-		return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + bw, Limit: q.BW}
-	}
-	if q.Services > 0 && u.services+1 > q.Services {
-		return &QuotaError{Tenant: tenant, Dim: "services", Want: float64(u.services + 1), Limit: float64(q.Services)}
+	if t := qg.tenants[tenant]; t != nil {
+		q := t.Quota
+		if q.CPU > 0 && u.cpu+cpu > q.CPU+1e-9 {
+			return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + cpu, Limit: q.CPU}
+		}
+		if q.Mem > 0 && u.mem+mem > q.Mem {
+			return &QuotaError{Tenant: tenant, Dim: "mem", Want: float64(u.mem + mem), Limit: float64(q.Mem)}
+		}
+		if q.BW > 0 && u.bw+bw > q.BW+1e-9 {
+			return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + bw, Limit: q.BW}
+		}
+		if q.Services > 0 && u.services+1 > q.Services {
+			return &QuotaError{Tenant: tenant, Dim: "services", Want: float64(u.services + 1), Limit: float64(q.Services)}
+		}
 	}
 	u.cpu += cpu
 	u.mem += mem

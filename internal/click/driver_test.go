@@ -3,7 +3,6 @@ package click
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -41,12 +40,12 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestMultiThreadedConcurrentTraffic drives a multi-element chain under the
-// MultiThreaded driver while external goroutines inject packets and poll
+// TestConcurrentTrafficConserved drives a multi-element chain under the
+// SingleThreaded driver while external goroutines inject packets and poll
 // handlers. Run under -race this exercises the per-element locking model:
 // source task, Unqueue task, ToDevice drain, handler reads and injected
 // pushes all overlap. Packet conservation is asserted at the end.
-func TestMultiThreadedConcurrentTraffic(t *testing.T) {
+func TestConcurrentTrafficConserved(t *testing.T) {
 	const limit = 20000
 	const injectors = 4
 	const perInjector = 500
@@ -66,8 +65,7 @@ func TestMultiThreadedConcurrentTraffic(t *testing.T) {
 			-> Queue(8192)
 			-> ToDevice(out);
 	`, limit), Options{
-		Driver:  MultiThreaded,
-		Workers: 4,
+		Driver:  SingleThreaded,
 		Devices: map[string]Device{"out": out},
 	})
 	if err != nil {
@@ -130,13 +128,13 @@ func TestMultiThreadedConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestDriverEquivalence runs the same source→queue→sink chain under all
-// three drivers and asserts packet conservation: every generated packet
-// is either delivered or accounted as a queue tail drop (the per-task
-// driver can outrun the drain side and legitimately drop).
+// TestDriverEquivalence runs the same source→queue→sink chain under both
+// drivers and asserts packet conservation: every generated packet is
+// either delivered or accounted as a queue tail drop. Under Fused the
+// source and queue form a pipeline while Unqueue stays on the task loop.
 func TestDriverEquivalence(t *testing.T) {
 	const limit = 5000
-	for _, mode := range []DriverMode{SingleThreaded, GoroutinePerTask, MultiThreaded} {
+	for _, mode := range []DriverMode{SingleThreaded, Fused} {
 		t.Run(mode.String(), func(t *testing.T) {
 			r, err := NewRouter("eq-"+mode.String(), fmt.Sprintf(`
 				InfiniteSource(LIMIT %d) -> q :: Queue(1024) -> u :: Unqueue -> d :: Counter -> Discard;
@@ -152,8 +150,8 @@ func TestDriverEquivalence(t *testing.T) {
 			}, mode.String()+" to account for all packets")
 			if mode == SingleThreaded {
 				// The round-robin driver strictly interleaves source and
-				// drain tasks, so the queue never overflows. The
-				// concurrent drivers may race ahead on the source side.
+				// drain tasks, so the queue never overflows. A fused
+				// pipeline may race ahead on the source side.
 				if drops := readCount(t, r, "q.drops"); drops != 0 {
 					t.Errorf("%s dropped %d packets", mode, drops)
 				}
@@ -161,87 +159,5 @@ func TestDriverEquivalence(t *testing.T) {
 			cancel()
 			r.Stop()
 		})
-	}
-}
-
-// TestMultiThreadedWorkStealing gives the driver more tasks than workers
-// with wildly uneven shard assignment pressure (many sources, two
-// workers): every source must still finish, which requires idle workers
-// to pick up migrated tasks.
-func TestMultiThreadedWorkStealing(t *testing.T) {
-	const nsrc = 8
-	const limit = 2000
-	cfg := ""
-	for i := 0; i < nsrc; i++ {
-		cfg += fmt.Sprintf("s%d :: InfiniteSource(LIMIT %d, BURST 8) -> c%d :: Counter -> Discard;\n", i, limit, i)
-	}
-	r, err := NewRouter("steal", cfg, Options{Driver: MultiThreaded, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go r.Run(ctx)
-	waitFor(t, 20*time.Second, func() bool {
-		for i := 0; i < nsrc; i++ {
-			if readCount(t, r, fmt.Sprintf("c%d.count", i)) != limit {
-				return false
-			}
-		}
-		return true
-	}, "every source task to complete on 2 workers")
-	cancel()
-	r.Stop()
-}
-
-// TestMultiThreadedParallelSpeedup is a smoke check that the work-stealing
-// driver actually uses more than one core when cores exist. It is skipped
-// on single-core machines where no speedup is possible.
-func TestMultiThreadedParallelSpeedup(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs ≥2 CPUs to observe parallelism")
-	}
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	run := func(mode DriverMode) time.Duration {
-		const limit = 200000
-		r, err := NewRouter("speed-"+mode.String(), fmt.Sprintf(`
-			a :: InfiniteSource(LIMIT %d, BURST 64) -> qa :: Queue(8192) -> Unqueue(BURST 64) -> ca :: Counter -> Discard;
-			b :: InfiniteSource(LIMIT %d, BURST 64) -> qb :: Queue(8192) -> Unqueue(BURST 64) -> cb :: Counter -> Discard;
-		`, limit, limit), Options{Driver: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		start := time.Now()
-		go r.Run(ctx)
-		// Click push semantics: a source running ahead of its Unqueue on
-		// another core overflows the Queue, which tail-drops. Every
-		// packet is still accounted for, delivered or dropped.
-		waitFor(t, 60*time.Second, func() bool {
-			return readCount(t, r, "ca.count")+readCount(t, r, "qa.drops") == limit &&
-				readCount(t, r, "cb.count")+readCount(t, r, "qb.drops") == limit
-		}, mode.String()+" completion")
-		d := time.Since(start)
-		if mode == SingleThreaded {
-			// The round-robin driver interleaves source and drain tasks,
-			// so its queues never overflow.
-			if drops := readCount(t, r, "qa.drops") + readCount(t, r, "qb.drops"); drops != 0 {
-				t.Errorf("%s dropped %d packets", mode, drops)
-			}
-		}
-		cancel()
-		r.Stop()
-		return d
-	}
-	single := run(SingleThreaded)
-	multi := run(MultiThreaded)
-	t.Logf("single=%v multi=%v", single, multi)
-	// Loose bound: multi must not be dramatically slower than single; on
-	// multi-core machines it is typically well under 1× single.
-	if multi > 3*single {
-		t.Errorf("MultiThreaded (%v) much slower than SingleThreaded (%v)", multi, single)
 	}
 }

@@ -2,7 +2,6 @@ package click
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 	"strconv"
 	"testing"
@@ -78,9 +77,8 @@ func runFuseChain(t *testing.T, opts Options, trace [][]byte) ([][]byte, *Router
 }
 
 // TestFusedDifferential runs the same flow trace through the locked
-// single-threaded driver, the fused driver, and the fused driver with RSS
-// sharding, and demands identical per-element counts and per-flow output
-// order from all three.
+// single-threaded driver and the fused driver, and demands identical
+// per-element counts and per-flow output order from both.
 func TestFusedDifferential(t *testing.T) {
 	const (
 		frames = 200
@@ -116,21 +114,12 @@ func TestFusedDifferential(t *testing.T) {
 		return result{counts: counts, perFlow: perFlow}
 	}
 
-	variants := []Options{
-		{Driver: SingleThreaded},
-		{Driver: Fused},
-		{Driver: Fused, Shards: 2},
-	}
 	var base result
-	for i, opts := range variants {
-		name := opts.Driver.String()
-		if opts.Shards > 1 {
-			name = fmt.Sprintf("%s-shards%d", name, opts.Shards)
-		}
-		res := run(opts)
+	for i, mode := range []DriverMode{SingleThreaded, Fused} {
+		name := mode.String()
+		res := run(Options{Driver: mode})
 		// Per-flow order must be exactly 0,1,2,... for every flow under
-		// every driver: fusion and sharding may reorder across flows but
-		// never within one.
+		// every driver.
 		for fl, seqs := range res.perFlow {
 			for j, s := range seqs {
 				if s != j {
@@ -223,19 +212,18 @@ func TestFusedInjectPushRejected(t *testing.T) {
 	}
 	p2.Kill()
 
-	// Under RSS sharding the queue is an MPSC ring terminator instead and
-	// td stays on the ordinary locked path, where InjectPush is fine.
+	// An element the compiler left on the locked path (Strip is not
+	// Fusible) still accepts InjectPush.
 	dev2 := NewRingDevice("dev", 64)
-	r2, err := NewRouter("inject2", fuseTestConfig, Options{
+	r2, err := NewRouter("inject2", `FromDevice(dev) -> cnt :: Counter -> st :: Strip(0) -> q :: Queue(64) -> td :: ToDevice(dev);`, Options{
 		Driver:  Fused,
-		Shards:  2,
 		Devices: map[string]Device{"dev": dev2},
 	})
 	if err != nil {
-		t.Fatalf("NewRouter(shards): %v", err)
+		t.Fatalf("NewRouter(fallback): %v", err)
 	}
 	p3 := NewPacket(make([]byte, 64))
-	if err := r2.InjectPush("td", 0, p3); err != nil {
+	if err := r2.InjectPush("st", 0, p3); err != nil {
 		t.Fatalf("InjectPush into non-fused element: %v", err)
 	}
 }
@@ -277,27 +265,5 @@ func TestFusedStats(t *testing.T) {
 	}
 	if s.Batches == 0 || s.BusyNs == 0 {
 		t.Fatalf("pipeline stats did not move: %+v", s)
-	}
-}
-
-// TestFlowHashProperties checks the shard selector: symmetric, flow-
-// stable, and distinguishing between flows.
-func TestFlowHashProperties(t *testing.T) {
-	src := netip.MustParseAddr("10.0.0.1")
-	dst := netip.MustParseAddr("10.0.0.2")
-	var m1, m2 pkt.MAC
-	copy(m1[:], []byte{2, 0, 0, 0, 0, 1})
-	copy(m2[:], []byte{2, 0, 0, 0, 0, 2})
-	fwd, _ := pkt.BuildUDP(m1, m2, src, dst, 1000, 9, []byte("x"))
-	rev, _ := pkt.BuildUDP(m2, m1, dst, src, 9, 1000, []byte("x"))
-	if pkt.FlowHash(fwd) != pkt.FlowHash(rev) {
-		t.Error("FlowHash is not symmetric for reversed flows")
-	}
-	other, _ := pkt.BuildUDP(m1, m2, src, dst, 1001, 9, []byte("x"))
-	if pkt.FlowHash(fwd) == pkt.FlowHash(other) {
-		t.Error("FlowHash collides for distinct source ports (possible but indicates a bug at this scale)")
-	}
-	if pkt.FlowHash([]byte{1, 2, 3}) != 0 {
-		t.Error("FlowHash of a too-short frame should be 0")
 	}
 }

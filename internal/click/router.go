@@ -3,53 +3,41 @@ package click
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // DriverMode selects how scheduler tasks execute.
 type DriverMode int
 
-// Driver modes. Element code is always serialized per element (see Base);
-// the modes differ only in how many goroutines run tasks and how tasks
-// are distributed over them.
+// Driver modes. Outside fused pipelines, element code is always
+// serialized per element (see Base).
 const (
 	// SingleThreaded matches Click's userlevel driver: one goroutine runs
 	// all tasks round-robin.
 	SingleThreaded DriverMode = iota
-	// GoroutinePerTask runs each task in its own goroutine; it exists for
-	// the E6 scheduling ablation (maximum goroutines, no balancing).
-	GoroutinePerTask
-	// MultiThreaded runs tasks on N workers (Options.Workers, default
-	// GOMAXPROCS capped at the task count) with work-stealing: an idle
-	// worker migrates tasks from a loaded one, so a chain's receive and
-	// transmit sides run on different cores — Click's SMP driver.
-	MultiThreaded
 	// Fused compiles loop-free single-consumer push chains into
 	// run-to-completion pipelines at init (see fuse.go): one goroutine per
 	// pipeline executes source → transforms → sink with no per-element
-	// locking or scheduling, eligible Queues switch to lock-free rings,
-	// and Options.Shards spreads a pipeline over RSS flow shards. Elements
-	// the compiler cannot prove safe fall back to the locked task path.
+	// locking or scheduling, and eligible Queues switch to lock-free
+	// rings. Elements the compiler cannot prove safe stay on the locked
+	// task path, which the Run goroutine drives exactly as SingleThreaded
+	// does.
 	Fused
 )
 
 // String names the driver mode as used in experiment tables.
 func (m DriverMode) String() string {
-	switch m {
-	case GoroutinePerTask:
-		return "per-task"
-	case MultiThreaded:
-		return "multi"
-	case Fused:
+	if m == Fused {
 		return "fused"
 	}
 	return "single"
 }
+
+// tickInterval is the period of Ticker callbacks (rate estimators).
+const tickInterval = 10 * time.Millisecond
 
 // Options tune router construction.
 type Options struct {
@@ -58,24 +46,6 @@ type Options struct {
 	Devices map[string]Device
 	// Driver selects the scheduling mode; default SingleThreaded.
 	Driver DriverMode
-	// Workers sets the MultiThreaded worker count; default GOMAXPROCS,
-	// capped at the number of tasks. Under Fused it sizes the worker pool
-	// for leftover (non-fused) tasks. Ignored by the other drivers.
-	Workers int
-	// TickInterval is the period for Ticker elements; default 10ms.
-	TickInterval time.Duration
-	// Shards, under the Fused driver, runs each fused pipeline as Shards
-	// parallel workers fed by an RSS-style 5-tuple hash at ingress, so one
-	// flow always lands on one shard (per-flow order preserved). Default 1
-	// (no sharding).
-	Shards int
-	// NoFusion, under the Fused driver, disables chain fusion while still
-	// converting eligible Queues to lock-free rings: the E6 ablation knob
-	// isolating what fusion itself buys.
-	NoFusion bool
-	// NoRing, under the Fused driver, keeps Queues on their mutex-guarded
-	// storage: the E6 ablation knob isolating what lock-free rings buy.
-	NoRing bool
 }
 
 // Router is an instantiated, wired Click element graph: one VNF instance.
@@ -83,8 +53,8 @@ type Router struct {
 	name  string
 	opts  Options
 	elems map[string]Element
-	order []string // declaration order, for deterministic iteration
-	tasks []taskEntry
+	order []string    // declaration order, for deterministic iteration
+	tasks []taskEntry // polled by the Run loop; Fused drops the fused ones
 
 	mu      sync.Mutex // guards control state only; element code is serialized per element
 	running bool
@@ -92,9 +62,8 @@ type Router struct {
 	cancel  context.CancelFunc
 
 	// Fused-driver state built by compileFused (nil otherwise).
-	fused         []*fusedPipeline
-	fusedLeftover []taskEntry
-	fusedElems    map[string]bool // elements owned by a pipeline; InjectPush rejected
+	fused      []*fusedPipeline
+	fusedElems map[string]bool // elements owned by a pipeline; InjectPush rejected
 
 	// stats
 	startedAt time.Time
@@ -119,9 +88,6 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 
 // NewRouterFromConfig is NewRouter for pre-parsed configurations.
 func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error) {
-	if opts.TickInterval <= 0 {
-		opts.TickInterval = 10 * time.Millisecond
-	}
 	r := &Router{name: name, opts: opts, elems: map[string]Element{}, stopped: make(chan struct{})}
 
 	// Instantiate and configure.
@@ -331,7 +297,9 @@ func (r *Router) Device(name string) (Device, bool) {
 
 // Run drives the router until ctx is cancelled. It blocks; use a goroutine.
 // The driver executes scheduler tasks (sources, Unqueues, FromDevices) and
-// periodic ticks. Push processing happens synchronously inside task runs.
+// periodic ticks on the calling goroutine, plus one goroutine per fused
+// pipeline under Fused. Push processing happens synchronously inside
+// task runs.
 func (r *Router) Run(ctx context.Context) {
 	r.mu.Lock()
 	if r.running {
@@ -358,28 +326,32 @@ func (r *Router) Run(ctx context.Context) {
 		close(r.stopped)
 	}()
 
-	switch r.opts.Driver {
-	case GoroutinePerTask:
-		r.runGoroutinePerTask(ctx)
-	case MultiThreaded:
-		r.runMultiThreaded(ctx)
-	case Fused:
-		r.runFused(ctx)
-	default:
-		r.runSingleThreaded(ctx)
+	var wg sync.WaitGroup
+	for _, fp := range r.fused {
+		wg.Add(1)
+		go func(fp *fusedPipeline) {
+			defer wg.Done()
+			fp.run(ctx)
+		}(fp)
 	}
+	r.runTasks(ctx)
+	wg.Wait()
 }
 
 // runLocked executes one task run with the task element's lock held.
-func runLocked(te taskEntry, eb *Base) bool {
-	eb.mu.Lock()
+func runLocked(te taskEntry) bool {
+	te.eb.mu.Lock()
 	worked := te.t.RunTask()
-	eb.mu.Unlock()
+	te.eb.mu.Unlock()
 	return worked
 }
 
-func (r *Router) runSingleThreaded(ctx context.Context) {
-	ticker := time.NewTicker(r.opts.TickInterval)
+// runTasks is the scheduler loop: it runs r.tasks round-robin and
+// delivers periodic ticks until ctx is cancelled. Under SingleThreaded
+// r.tasks holds every task; under Fused, the tasks no pipeline consumed.
+func (r *Router) runTasks(ctx context.Context) {
+	tasks := r.tasks
+	ticker := time.NewTicker(tickInterval)
 	defer ticker.Stop()
 	idleSpins := 0
 	for {
@@ -390,9 +362,19 @@ func (r *Router) runSingleThreaded(ctx context.Context) {
 			r.tick(now)
 		default:
 		}
+		if len(tasks) == 0 {
+			// Nothing to poll (every task fused): wait for the next tick.
+			select {
+			case <-ctx.Done():
+				return
+			case now := <-ticker.C:
+				r.tick(now)
+			}
+			continue
+		}
 		worked := false
-		for _, te := range r.tasks {
-			if runLocked(te, te.eb) {
+		for _, te := range tasks {
+			if runLocked(te) {
 				worked = true
 			}
 		}
@@ -415,192 +397,6 @@ func (r *Router) runSingleThreaded(ctx context.Context) {
 // allocations-per-packet budget. Callers re-check ctx on the next loop
 // iteration, so cancellation latency is bounded by the sleep.
 func idleSleep() { time.Sleep(200 * time.Microsecond) }
-
-func (r *Router) runGoroutinePerTask(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, te := range r.tasks {
-		wg.Add(1)
-		go func(te taskEntry) {
-			defer wg.Done()
-			idleSpins := 0
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				if runLocked(te, te.eb) {
-					idleSpins = 0
-					continue
-				}
-				idleSpins++
-				if idleSpins > 16 {
-					idleSleep()
-				}
-			}
-		}(te)
-	}
-	r.tickUntilDone(ctx)
-	wg.Wait()
-}
-
-// tickUntilDone delivers periodic ticks until ctx is cancelled; the
-// multi-goroutine drivers run it on the Run goroutine.
-func (r *Router) tickUntilDone(ctx context.Context) {
-	ticker := time.NewTicker(r.opts.TickInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-ticker.C:
-			r.tick(now)
-		}
-	}
-}
-
-// mtTask is a scheduler task under the MultiThreaded driver. The claimed
-// flag keeps two workers from piling up on one task's element lock; the
-// element lock itself (runLocked) is the correctness boundary.
-type mtTask struct {
-	te      taskEntry
-	claimed atomic.Bool
-}
-
-// mtWorker owns a mutable slice of tasks. Work-stealing migrates tasks
-// between workers, so the slice is mutex-guarded; workers snapshot it
-// into a scratch buffer each pass.
-type mtWorker struct {
-	mu    sync.Mutex
-	tasks []*mtTask
-}
-
-func (w *mtWorker) snapshot(buf []*mtTask) []*mtTask {
-	w.mu.Lock()
-	buf = append(buf[:0], w.tasks...)
-	w.mu.Unlock()
-	return buf
-}
-
-// stealFrom moves roughly half of victim's tasks to w and reports whether
-// anything moved. Locks are taken in (victim, thief) order one at a time,
-// never nested.
-func (w *mtWorker) stealFrom(victim *mtWorker) bool {
-	victim.mu.Lock()
-	n := len(victim.tasks) / 2
-	if n == 0 {
-		victim.mu.Unlock()
-		return false
-	}
-	stolen := append([]*mtTask(nil), victim.tasks[len(victim.tasks)-n:]...)
-	victim.tasks = victim.tasks[:len(victim.tasks)-n]
-	victim.mu.Unlock()
-	w.mu.Lock()
-	w.tasks = append(w.tasks, stolen...)
-	w.mu.Unlock()
-	return true
-}
-
-// runMultiThreaded shards tasks round-robin over N workers. Each worker
-// loops over its own tasks; a worker whose pass found no runnable work
-// steals half of another worker's tasks before backing off, so load
-// follows the traffic regardless of the initial shard.
-func (r *Router) runMultiThreaded(ctx context.Context) {
-	var wg sync.WaitGroup
-	spawnTaskWorkers(ctx, r.tasks, r.opts.Workers, &wg)
-	r.tickUntilDone(ctx)
-	wg.Wait()
-}
-
-// spawnTaskWorkers starts the work-stealing worker pool over tasks,
-// registering each worker goroutine with wg. Spawns nothing when tasks is
-// empty. MultiThreaded runs the whole task list through it; Fused runs
-// the leftover (non-fused) tasks through it.
-func spawnTaskWorkers(ctx context.Context, tasks []taskEntry, nw int, wg *sync.WaitGroup) {
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if nw == 0 {
-		return
-	}
-	workers := make([]*mtWorker, nw)
-	for i := range workers {
-		workers[i] = &mtWorker{}
-	}
-	for i, te := range tasks {
-		w := workers[i%nw]
-		w.tasks = append(w.tasks, &mtTask{te: te})
-	}
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			w := workers[self]
-			var scratch []*mtTask
-			idleSpins := 0
-			victim := self
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				worked := false
-				scratch = w.snapshot(scratch)
-				for _, t := range scratch {
-					if !t.claimed.CompareAndSwap(false, true) {
-						continue // another worker is running it right now
-					}
-					did := runLocked(t.te, t.te.eb)
-					t.claimed.Store(false)
-					if did {
-						worked = true
-					}
-				}
-				if worked {
-					idleSpins = 0
-					continue
-				}
-				// Idle: try to take over load from the other workers
-				// (deterministic round-robin victim selection), then back
-				// off like the other drivers.
-				for tries := 0; tries < nw-1; tries++ {
-					victim = (victim + 1) % nw
-					if victim == self {
-						victim = (victim + 1) % nw
-					}
-					if w.stealFrom(workers[victim]) {
-						break
-					}
-				}
-				idleSpins++
-				if idleSpins > 16 {
-					idleSleep()
-				}
-			}
-		}(i)
-	}
-}
-
-// runFused starts one goroutine per compiled pipeline (or per shard when
-// RSS sharding is on) plus a work-stealing pool for every task the
-// compiler left on the locked path.
-func (r *Router) runFused(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, fp := range r.fused {
-		wg.Add(1)
-		go func(fp *fusedPipeline) {
-			defer wg.Done()
-			fp.run(ctx)
-		}(fp)
-	}
-	spawnTaskWorkers(ctx, r.fusedLeftover, r.opts.Workers, &wg)
-	r.tickUntilDone(ctx)
-	wg.Wait()
-}
 
 // Ticker elements receive periodic time callbacks (rate estimators).
 type Ticker interface {

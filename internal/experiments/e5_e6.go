@@ -163,43 +163,10 @@ func chainOfRouters(L int, opts click.Options) (*click.SPSCRing[[]byte], *click.
 	return rings[0], rings[L], routers, nil
 }
 
-// E6Drivers is the default scheduler ablation set: Click's single-threaded
-// userlevel driver, the goroutine-per-task ablation, the work-stealing
-// multithreaded (SMP) driver, and the fused run-to-completion driver.
-var E6Drivers = []click.DriverMode{click.SingleThreaded, click.GoroutinePerTask, click.MultiThreaded, click.Fused}
-
-// e6Variant is one measured row: a label and the router options behind it.
-type e6Variant struct {
-	label string
-	opts  click.Options
-}
-
-// e6Variants expands the driver list into measured rows. The Fused driver
-// contributes its ablations first — rings without fusion, fusion without
-// rings, fusion+rings with RSS sharding — and the full fast path last, so
-// the table's final row is the headline configuration.
-func e6Variants(drivers []click.DriverMode) []e6Variant {
-	var vs []e6Variant
-	for _, d := range drivers {
-		if d != click.Fused {
-			vs = append(vs, e6Variant{label: d.String(), opts: click.Options{Driver: d}})
-			continue
-		}
-		vs = append(vs,
-			e6Variant{label: "fused-nofusion", opts: click.Options{Driver: click.Fused, NoFusion: true}},
-			e6Variant{label: "fused-noring", opts: click.Options{Driver: click.Fused, NoRing: true}},
-			e6Variant{label: "fused+rss2", opts: click.Options{Driver: click.Fused, Shards: 2}},
-			e6Variant{label: "fused", opts: click.Options{Driver: click.Fused}},
-		)
-	}
-	return vs
-}
-
 // E6ClickDataPlane pushes frames through chains of Click VNFs and
-// reports throughput, per-packet latency and steady-state allocations,
-// across the scheduler ablation (pass an explicit driver subset to
-// narrow it; the Fused driver expands into its own ablation rows).
-func E6ClickDataPlane(lengths []int, frameSizes []int, packets int, drivers ...click.DriverMode) (*Table, error) {
+// reports throughput, per-packet latency and steady-state allocations
+// for each driver.
+func E6ClickDataPlane(lengths []int, frameSizes []int, packets int) (*Table, error) {
 	if len(lengths) == 0 {
 		lengths = []int{1, 2, 4, 8}
 	}
@@ -209,37 +176,27 @@ func E6ClickDataPlane(lengths []int, frameSizes []int, packets int, drivers ...c
 	if packets <= 0 {
 		packets = 2000
 	}
-	if len(drivers) == 0 {
-		drivers = E6Drivers
-	}
 	t := &Table{
 		ID:      "E6",
 		Title:   fmt.Sprintf("Click data plane: %d frames through VNF chains", packets),
 		Columns: []string{"chain_len", "frame_B", "driver", "kpps", "us_per_pkt", "allocs_pkt"},
 		Notes: []string{
 			"shape check: throughput falls ~1/L in chain length",
-			"multi runs each VNF's RX and TX sides on separate workers (per-element locks)",
-			"fused compiles each VNF to a run-to-completion pipeline over lock-free rings (allocs_pkt ~0)",
+			"single runs each VNF's tasks round-robin on one goroutine (Click's userlevel driver)",
+			"fused compiles each VNF to a run-to-completion pipeline over lock-free rings",
 			"allocs_pkt counts heap allocations per forwarded packet in the post-warmup phase",
 		},
 	}
 	for _, L := range lengths {
 		for _, size := range frameSizes {
-			for _, v := range e6Variants(drivers) {
-				if err := e6Run(t, L, size, packets, v); err != nil {
+			for _, d := range []click.DriverMode{click.SingleThreaded, click.Fused} {
+				if err := E6Cell(t, L, size, packets, d.String(), click.Options{Driver: d}); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 	return t, nil
-}
-
-// E6Cell measures one (chain length, frame size, driver options) cell and
-// appends the row to t. The unit benchmarks reuse it to run a single
-// configuration without the full matrix.
-func E6Cell(t *Table, L, size, packets int, label string, opts click.Options) error {
-	return e6Run(t, L, size, packets, e6Variant{label: label, opts: opts})
 }
 
 // e6InflightCap bounds packets in flight across the whole chain. It is
@@ -250,8 +207,7 @@ func E6Cell(t *Table, L, size, packets int, label string, opts click.Options) er
 const e6InflightCap = 1024
 
 // e6Trace builds the flow-diverse traffic template: 64 UDP flows with
-// distinct source ports (so RSS sharding has something to hash), padded
-// or trimmed to the requested frame size.
+// distinct source ports, padded or trimmed to the requested frame size.
 func e6Trace(size int) [][]byte {
 	const flows = 64
 	src := netip.MustParseAddr("10.0.0.1")
@@ -329,11 +285,13 @@ func e6Pump(entry, exit *click.SPSCRing[[]byte], templates [][]byte, free *[][]b
 	return nil
 }
 
-// e6Run measures one (chain length, frame size, variant) cell: a warmup
-// pass populates pools and rings, then the measured pass reports
-// throughput, per-packet time, and heap allocations per packet.
-func e6Run(t *Table, L, size, packets int, v e6Variant) error {
-	entry, exit, routers, err := chainOfRouters(L, v.opts)
+// E6Cell measures one (chain length, frame size, driver options) cell
+// and appends the row to t under label: a warmup pass populates pools
+// and rings, then the measured pass reports throughput, per-packet time,
+// and heap allocations per packet. The unit benchmarks reuse it to run a
+// single configuration without the full matrix.
+func E6Cell(t *Table, L, size, packets int, label string, opts click.Options) error {
+	entry, exit, routers, err := chainOfRouters(L, opts)
 	if err != nil {
 		return err
 	}
@@ -346,13 +304,13 @@ func e6Run(t *Table, L, size, packets int, v e6Variant) error {
 	free := make([][]byte, 0, e6InflightCap)
 	deadline := time.Now().Add(30 * time.Second)
 	if err := e6Pump(entry, exit, templates, &free, size, packets, deadline); err != nil {
-		return fmt.Errorf("%w (warmup, driver=%s, L=%d)", err, v.label, L)
+		return fmt.Errorf("%w (warmup, driver=%s, L=%d)", err, label, L)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	if err := e6Pump(entry, exit, templates, &free, size, packets, deadline); err != nil {
-		return fmt.Errorf("%w (driver=%s, L=%d)", err, v.label, L)
+		return fmt.Errorf("%w (driver=%s, L=%d)", err, label, L)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
@@ -363,7 +321,7 @@ func e6Run(t *Table, L, size, packets int, v e6Variant) error {
 	kpps := float64(packets) / elapsed.Seconds() / 1000
 	perPkt := elapsed / time.Duration(packets)
 	allocsPerPkt := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
-	t.AddRow(fmt.Sprint(L), fmt.Sprint(size), v.label,
+	t.AddRow(fmt.Sprint(L), fmt.Sprint(size), label,
 		fmt.Sprintf("%.1f", kpps), us(perPkt), fmt.Sprintf("%.2f", allocsPerPkt))
 	return nil
 }

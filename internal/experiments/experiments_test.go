@@ -89,14 +89,17 @@ func TestE6ClickDataPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderOK(t, tbl, 6) // 2 lengths × 1 size × 3 drivers
+	renderOK(t, tbl, 4) // 2 lengths × 1 size × 2 drivers
+	if len(tbl.Rows) != 4 {
+		t.Errorf("E6 has %d rows, want one per driver per cell (4)", len(tbl.Rows))
+	}
 	seen := map[string]bool{}
 	for _, row := range tbl.Rows {
 		seen[row[2]] = true
 	}
-	for _, d := range []string{"single", "per-task", "multi"} {
+	for _, d := range []string{"single", "fused"} {
 		if !seen[d] {
-			t.Errorf("driver %s missing from E6 ablation", d)
+			t.Errorf("driver %s missing from E6", d)
 		}
 	}
 }

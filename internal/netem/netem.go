@@ -127,19 +127,19 @@ type Network struct {
 	links   []*Link
 	started bool
 
-	nextIP   uint32
-	nextMAC  uint32
+	// Address counters: ports are created by concurrent AddLink calls
+	// (parallel ConnectVNF on different EEs), outside mu.
+	nextIP   atomic.Uint32
+	nextMAC  atomic.Uint32
 	nextDPID uint64
 }
 
 // New creates an empty network.
 func New(name string, opts Options) *Network {
 	return &Network{
-		name:    name,
-		opts:    opts,
-		nodes:   map[string]Node{},
-		nextIP:  1, // 10.0.0.1
-		nextMAC: 1,
+		name:  name,
+		opts:  opts,
+		nodes: map[string]Node{},
 	}
 }
 
@@ -212,15 +212,14 @@ func (n *Network) FindLink(a, b string) *Link {
 	return nil
 }
 
+// allocIP hands out 10.0.0.1, 10.0.0.2, ... in call order.
 func (n *Network) allocIP() netip.Addr {
-	ip := n.nextIP
-	n.nextIP++
+	ip := n.nextIP.Add(1)
 	return netip.AddrFrom4([4]byte{10, byte(ip >> 16), byte(ip >> 8), byte(ip)})
 }
 
 func (n *Network) allocMAC() [6]byte {
-	m := n.nextMAC
-	n.nextMAC++
+	m := n.nextMAC.Add(1)
 	return [6]byte{0x02, 0x00, byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)}
 }
 

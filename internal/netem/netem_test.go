@@ -2,6 +2,9 @@ package netem
 
 import (
 	"bytes"
+	"fmt"
+	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -394,6 +397,77 @@ func TestEEInvalidOperations(t *testing.T) {
 	ee.InitVNF(VNFSpec{Name: "bad", ClickConfig: "syntax error ((("})
 	if err := ee.StartVNF("bad"); err == nil {
 		t.Error("bad config started")
+	}
+}
+
+// TestConcurrentConnectUniqueAddresses connects VNFs on distinct EEs and
+// links hosts from several goroutines at once, as parallel deploys do.
+// Every port MAC and every host IP must be unique; run under -race this
+// also checks the address counters are safe to share.
+func TestConcurrentConnectUniqueAddresses(t *testing.T) {
+	const ees = 8
+	n := New("t", Options{})
+	defer n.Stop()
+	if _, err := n.AddSwitch("s1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ees; i++ {
+		ee, err := n.AddEE(fmt.Sprintf("ee%d", i), EEConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> Queue -> ToDevice(out);", Devices: []string{"in", "out"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.AddHost(fmt.Sprintf("h%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < ees; i++ {
+		ee := n.Node(fmt.Sprintf("ee%d", i)).(*EE)
+		for _, dev := range []string{"in", "out"} {
+			wg.Add(1)
+			go func(dev string) {
+				defer wg.Done()
+				if _, err := ee.ConnectVNF(n, "v", dev, "s1", LinkConfig{}); err != nil {
+					t.Error(err)
+				}
+			}(dev)
+		}
+		wg.Add(1)
+		go func(host string) {
+			defer wg.Done()
+			if _, err := n.AddLink(host, "s1", LinkConfig{}); err != nil {
+				t.Error(err)
+			}
+		}(fmt.Sprintf("h%d", i))
+	}
+	wg.Wait()
+
+	links := n.Links()
+	if len(links) != 3*ees {
+		t.Fatalf("%d links, want %d", len(links), 3*ees)
+	}
+	macs := map[[6]byte]string{}
+	ips := map[netip.Addr]string{}
+	for _, l := range links {
+		for _, p := range []*Port{l.A, l.B} {
+			if prev, dup := macs[p.MAC]; dup {
+				t.Errorf("ports %s and %s share MAC %x", prev, p.Name, p.MAC)
+			}
+			macs[p.MAC] = p.Name
+			if p.Node.Kind() != KindHost {
+				continue
+			}
+			if prev, dup := ips[p.IP]; dup {
+				t.Errorf("ports %s and %s share IP %s", prev, p.Name, p.IP)
+			}
+			ips[p.IP] = p.Name
+		}
+	}
+	if len(ips) != ees {
+		t.Errorf("%d distinct host IPs, want %d", len(ips), ees)
 	}
 }
 
