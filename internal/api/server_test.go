@@ -363,20 +363,22 @@ func TestQuotaPrecheckRejects(t *testing.T) {
 	}
 }
 
+// acmeMapping is a one-NF mapping of tenant acme's service.
+func acmeMapping(service string) *core.Mapping {
+	g := sg.NewChainGraph(service, "monitor")
+	g.Name = "acme/" + service
+	return &core.Mapping{
+		Graph:      g,
+		Placements: map[string]string{g.NFs[0].ID: "ee1"},
+		Routes:     map[string][]string{},
+		Catalog:    catalog.Default(),
+	}
+}
+
 func TestQuotaGateEnforcesAtCommit(t *testing.T) {
 	gate := NewQuotaGate()
 	gate.SetTenant(&Tenant{Name: "acme", Quota: Quota{Services: 1, CPU: 0.5}})
-	mk := func(service string) *core.Mapping {
-		g := sg.NewChainGraph(service, "monitor")
-		g.Name = "acme/" + service
-		return &core.Mapping{
-			Graph:      g,
-			Placements: map[string]string{g.NFs[0].ID: "ee1"},
-			Routes:     map[string][]string{},
-			Catalog:    catalog.Default(),
-		}
-	}
-	m1, m2 := mk("one"), mk("two")
+	m1, m2 := acmeMapping("one"), acmeMapping("two")
 	if err := gate.Admit(m1); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
@@ -390,7 +392,7 @@ func TestQuotaGateEnforcesAtCommit(t *testing.T) {
 		t.Fatalf("admit after release: %v", err)
 	}
 	// Untenanted mappings pass unmetered.
-	un := mk("free")
+	un := acmeMapping("free")
 	un.Graph.Name = "free"
 	if err := gate.Admit(un); err != nil {
 		t.Fatalf("untenanted admit: %v", err)
@@ -404,17 +406,7 @@ func TestQuotaGateEnforcesAtCommit(t *testing.T) {
 // exactly what Admit counted.
 func TestQuotaGateMetersBeforeSetTenant(t *testing.T) {
 	gate := NewQuotaGate()
-	mk := func(service string) *core.Mapping {
-		g := sg.NewChainGraph(service, "monitor")
-		g.Name = "acme/" + service
-		return &core.Mapping{
-			Graph:      g,
-			Placements: map[string]string{g.NFs[0].ID: "ee1"},
-			Routes:     map[string][]string{},
-			Catalog:    catalog.Default(),
-		}
-	}
-	m1, m2 := mk("one"), mk("two")
+	m1, m2 := acmeMapping("one"), acmeMapping("two")
 	if err := gate.Admit(m1); err != nil {
 		t.Fatalf("admit before SetTenant: %v", err)
 	}
