@@ -204,7 +204,7 @@ func TestFusedInjectPushRejected(t *testing.T) {
 		t.Fatal("InjectPush into a fused element succeeded; want rejection")
 	}
 	p.Kill()
-	// The single-pipeline compiler fuses through the queue into td, so td
+	// The compiler fuses through the queue into td, so td
 	// is pipeline-owned too.
 	p2 := NewPacket(make([]byte, 64))
 	if err := r.InjectPush("td", 0, p2); err == nil {
